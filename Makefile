@@ -5,7 +5,7 @@ GO ?= go
 # One ~10s native-fuzz burst per target; see fuzz-smoke.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet lint lint-fast lint-deep race bench bench-json bench-json-smoke bench-gate tier1 fuzz-smoke chaos-smoke replica-chaos-smoke obs-smoke loadgen-smoke ci
+.PHONY: all build test vet lint lint-fast lint-deep race bench bench-json bench-json-smoke bench-gate tier1 fuzz-smoke chaos-smoke replica-chaos-smoke stress obs-smoke loadgen-smoke ci
 
 # Committed perf baseline the bench gate compares against (see bench-gate).
 BENCH_BASELINE ?= BENCH_2026-08-07.json
@@ -122,6 +122,13 @@ chaos-smoke:
 replica-chaos-smoke:
 	$(GO) test -race -short -run 'Chaos|Follower|Hub|Replica|Epoch' \
 		./internal/replica/ ./internal/service/
+
+# Scheduling stress: the replication, service and cce packages — the ones
+# whose tests race goroutines against each other — repeated under 1, 2 and
+# 4 Ps, so an interleaving that only shows on some core counts fails here
+# instead of intermittently after merge.
+stress:
+	$(GO) test -count=5 -cpu=1,2,4 ./internal/replica/ ./internal/service/ ./internal/cce/
 
 # Tier-1 gate from ROADMAP.md.
 tier1: build test

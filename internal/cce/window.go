@@ -57,18 +57,12 @@ type Window struct {
 	alpha    float64
 	policy   Policy
 
-	mu   sync.Mutex
-	par  int               // guarded by mu; intra-solve worker bound, see SetParallelism
-	buf  []feature.Labeled // guarded by mu; pending arrivals of the current step
-	ring []int             // guarded by mu; context slots of window rows, oldest first from head
-	head int               // guarded by mu
-	size int               // guarded by mu
+	mu  sync.Mutex
+	par int               // guarded by mu; intra-solve worker bound, see SetParallelism
+	buf []feature.Labeled // guarded by mu; pending arrivals of the current step
 
-	ctx     *core.Context // guarded by mu; one index, updated in place by advance
-	version int           // guarded by mu
-	// ctxVersionBase keeps ContextVersion monotonic across Reset, which swaps
-	// in a fresh context whose own stamp restarts at zero.
-	ctxVersionBase uint64 // guarded by mu
+	store   *Store // guarded by mu; one index retaining capacity rows, updated in place by advance
+	version int    // guarded by mu
 
 	// cache holds per-instance resolved keys across overlapping contexts for
 	// FirstWins/UnionKey (LastWins never reads earlier keys, so it bypasses
@@ -95,18 +89,13 @@ func NewWindow(schema *feature.Schema, capacity, step int, alpha float64, policy
 	if step <= 0 || step > capacity {
 		return nil, fmt.Errorf("cce: window step %d must be in [1,%d]", step, capacity)
 	}
-	ctx, err := core.NewContextSized(schema, nil, capacity)
-	if err != nil {
-		return nil, err
-	}
 	return &Window{
 		schema:   schema,
 		capacity: capacity,
 		step:     step,
 		alpha:    alpha,
 		policy:   policy,
-		ring:     make([]int, capacity),
-		ctx:      ctx,
+		store:    NewStore(schema, capacity),
 		cache:    map[string]cacheEntry{},
 		touched:  map[int][]string{},
 	}, nil
@@ -114,7 +103,7 @@ func NewWindow(schema *feature.Schema, capacity, step int, alpha float64, policy
 
 // Observe appends one arrival; the window advances every ΔI arrivals.
 func (w *Window) Observe(li feature.Labeled) error {
-	if err := w.schema.Validate(li.X); err != nil {
+	if err := w.schema.ValidateLabeled(li); err != nil {
 		return err
 	}
 	w.mu.Lock()
@@ -126,28 +115,16 @@ func (w *Window) Observe(li feature.Labeled) error {
 	return nil
 }
 
-// advanceLocked shifts the window by one step, updating the single shared
-// index in place: each of the ΔI arrivals first retires the oldest row when
-// the window is full (clearing its posting-list bits and freeing its slot)
-// and then claims a slot for itself. Total cost O(ΔI × attrs) regardless of
-// capacity — the rebuild this replaced re-indexed all |I| rows per step.
-// Callers hold w.mu.
+// advanceLocked shifts the window by one step, pushing the ΔI arrivals into
+// the store, which retires the oldest row in place once the window is full.
+// Total cost O(ΔI × attrs) regardless of capacity — the rebuild this replaced
+// re-indexed all |I| rows per step. Callers hold w.mu.
 func (w *Window) advanceLocked() error {
 	defer windowAdvanceSeconds.ObserveSince(time.Now())
 	for _, li := range w.buf {
-		if w.size == w.capacity {
-			if err := w.ctx.Remove(w.ring[w.head]); err != nil {
-				return err
-			}
-			w.head = (w.head + 1) % w.capacity
-			w.size--
-		}
-		slot, err := w.ctx.AddSlot(li)
-		if err != nil {
+		if err := w.store.Push(li); err != nil {
 			return err
 		}
-		w.ring[(w.head+w.size)%w.capacity] = slot
-		w.size++
 	}
 	w.buf = w.buf[:0]
 	w.version++
@@ -190,16 +167,12 @@ func (w *Window) evictStaleLocked() {
 // and switches to inference instances and predictions collected from the
 // updated model" — this is that switch.
 func (w *Window) Reset() error {
-	ctx, err := core.NewContextSized(w.schema, nil, w.capacity)
-	if err != nil {
-		return err
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.store.Replace(nil); err != nil {
+		return err
+	}
 	w.buf = w.buf[:0]
-	w.head, w.size = 0, 0
-	w.ctxVersionBase += w.ctx.Version() + 1
-	w.ctx = ctx
 	w.cache = map[string]cacheEntry{}
 	w.touched = map[int][]string{}
 	w.swept = w.version + 1
@@ -243,14 +216,14 @@ func (w *Window) Version() int {
 func (w *Window) ContextVersion() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.ctxVersionBase + w.ctx.Version()
+	return w.store.Version()
 }
 
 // Size returns the current window occupancy.
 func (w *Window) Size() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.size
+	return w.store.Len()
 }
 
 // Context exposes the current window context. The context is mutated in
@@ -258,7 +231,7 @@ func (w *Window) Size() int {
 // observer goroutine; it exists for single-threaded inspection (tests,
 // oracles, offline analysis).
 func (w *Window) Context() *core.Context {
-	return w.ctx //rkvet:ignore lockcheck deliberate unsynchronized escape hatch, documented above
+	return w.store.Context() //rkvet:ignore lockcheck deliberate unsynchronized escape hatch, documented above
 }
 
 // Items returns the window contents oldest-first (excluding arrivals still
@@ -266,11 +239,7 @@ func (w *Window) Context() *core.Context {
 func (w *Window) Items() []feature.Labeled {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]feature.Labeled, 0, w.size)
-	for i := 0; i < w.size; i++ {
-		out = append(out, w.ctx.Item(w.ring[(w.head+i)%w.capacity]))
-	}
-	return out
+	return w.store.Items()
 }
 
 // Explain computes the key for x (predicted y) relative to the current
@@ -291,7 +260,7 @@ func (w *Window) Explain(x feature.Instance, y feature.Label) (core.Key, error) 
 func (w *Window) ExplainCtx(ctx context.Context, x feature.Instance, y feature.Label) (core.Key, bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	fresh, degraded, err := core.SRKAnytimePar(ctx, w.ctx, x, y, w.alpha, w.par)
+	fresh, degraded, err := core.SRKAnytimePar(ctx, w.store.Context(), x, y, w.alpha, w.par)
 	if err != nil {
 		return nil, degraded, err
 	}

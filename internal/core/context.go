@@ -104,11 +104,8 @@ func (c *Context) Add(li feature.Labeled) error {
 // later Remove rows (sliding windows, rollbacks) can address them in O(1).
 // Retired slots are reused before the context grows.
 func (c *Context) AddSlot(li feature.Labeled) (int, error) {
-	if err := c.Schema.Validate(li.X); err != nil {
+	if err := c.Schema.ValidateLabeled(li); err != nil {
 		return -1, err
-	}
-	if li.Y < 0 || int(li.Y) >= len(c.Schema.Labels) {
-		return -1, fmt.Errorf("core: prediction %d outside label space of size %d", li.Y, len(c.Schema.Labels))
 	}
 	var i int
 	if n := len(c.free); n > 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -199,27 +200,46 @@ func TestDriftShape(t *testing.T) {
 }
 
 // TestTable4Shape checks the efficiency ordering: CCE fastest, Xreason
-// slowest.
+// slowest, by at least 5×. Each cell is the minimum over several passes of
+// the whole table: a single wall-clock sample is at the mercy of whatever
+// else the machine schedules (other test packages run in parallel), while
+// the minimum estimates each method's undisturbed cost. A pipeline memoizes
+// its method runs, so every pass after the first uses a fresh Env with
+// quickEnv's configuration to time the methods again.
 func TestTable4Shape(t *testing.T) {
-	tab, err := Run(quickEnv, "T4")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const passes = 5
+	var tab *Table
 	times := map[string][]float64{}
-	for _, r := range tab.Rows {
-		for _, cell := range r[1:] {
-			times[r[0]] = append(times[r[0]], parseF(t, cell))
+	for pass := 0; pass < passes; pass++ {
+		env := quickEnv
+		if pass > 0 {
+			env = NewEnv(quickEnv.cfg)
+		}
+		var err error
+		tab, err = Run(env, "T4")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range tab.Rows {
+			for ds, cell := range r[1:] {
+				v := parseF(t, cell)
+				if pass == 0 {
+					times[r[0]] = append(times[r[0]], v)
+				} else {
+					times[r[0]][ds] = math.Min(times[r[0]][ds], v)
+				}
+			}
 		}
 	}
 	for ds := range tab.Header[1:] {
 		cce := times["CCE"][ds]
 		for _, m := range []string{"LIME", "SHAP", "Anchor", "Xreason"} {
 			if cce > times[m][ds] {
-				t.Errorf("%s: CCE (%.3fms) slower than %s (%.3fms)", tab.Header[ds+1], cce, m, times[m][ds])
+				t.Errorf("%s: CCE (%.3fms) slower than %s (%.3fms), minimum of %d passes", tab.Header[ds+1], cce, m, times[m][ds], passes)
 			}
 		}
 		if times["Xreason"][ds] < times["CCE"][ds]*5 {
-			t.Errorf("%s: Xreason (%.3fms) not ≫ slower than CCE (%.3fms)", tab.Header[ds+1], times["Xreason"][ds], times["CCE"][ds])
+			t.Errorf("%s: Xreason (%.3fms) not ≫ slower than CCE (%.3fms), minimum of %d passes", tab.Header[ds+1], times["Xreason"][ds], times["CCE"][ds], passes)
 		}
 	}
 }

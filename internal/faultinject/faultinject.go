@@ -96,8 +96,8 @@ type Observer interface {
 }
 
 // FlakyObserver fails a fraction of monitor observations, exercising the
-// /observe rollback path (context add must be undone when the monitor
-// rejects).
+// /observe refusal path (a row the monitor rejects must never enter the
+// context).
 type FlakyObserver struct {
 	Inner    Observer
 	Inj      *Injector
@@ -174,7 +174,7 @@ func (t *TornWriter) Sync() error {
 }
 
 // FaultyWriteSyncer fails a fraction of writes and syncs, for exercising the
-// service's WAL-append error path (observe must roll back and 503).
+// service's WAL-append error path (observe must refuse the row and 503).
 type FaultyWriteSyncer struct {
 	Inner         WriteSyncer
 	Inj           *Injector

@@ -111,6 +111,18 @@ func (s *Schema) Validate(x Instance) error {
 	return nil
 }
 
+// ValidateLabeled checks that an instance is inside the feature space and its
+// prediction inside the label space.
+func (s *Schema) ValidateLabeled(li Labeled) error {
+	if err := s.Validate(li.X); err != nil {
+		return err
+	}
+	if li.Y < 0 || int(li.Y) >= len(s.Labels) {
+		return fmt.Errorf("feature: prediction %d outside label space of size %d", li.Y, len(s.Labels))
+	}
+	return nil
+}
+
 // SpaceSize returns |X| as a float64 (it can overflow int64 for wide schemas).
 func (s *Schema) SpaceSize() float64 {
 	size := 1.0

@@ -22,7 +22,7 @@ import (
 // structurally satisfied by *service.Server in follower mode.
 type Applier interface {
 	ApplyReplicated(ctx context.Context, seq uint64, li feature.Labeled) error
-	InstallSnapshot(ctx context.Context, schema *feature.Schema, items []feature.Labeled, seq uint64) error
+	InstallSnapshot(ctx context.Context, schema *feature.Schema, items []feature.Labeled, seq uint64, epoch string) error
 	ReplicaHeartbeat(primarySeq uint64)
 	SetReplicaEpoch(epoch string)
 	Epoch() string
@@ -212,10 +212,11 @@ func (f *Follower) stream(ctx context.Context) (bool, error) {
 }
 
 // snapshotCatchup re-anchors the follower on the primary's current state:
-// GET /snapshot, decode + CRC-check, install atomically, then adopt the
-// primary's epoch. Ordering matters — the epoch is persisted only after the
-// snapshot install succeeds, so a crash mid-catch-up leaves a state/epoch
-// pair that the fencing check sends straight back here.
+// GET /snapshot, decode + CRC-check, then install rows and the primary's
+// epoch in one step, so readers never see the new rows under the old epoch.
+// Durable ordering matters — the epoch file is written only after the
+// install has persisted the snapshot, so a crash mid-catch-up leaves a
+// state/epoch pair that the fencing check sends straight back here.
 func (f *Follower) snapshotCatchup(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.PrimaryURL+"/snapshot", nil)
 	if err != nil {
@@ -240,11 +241,11 @@ func (f *Follower) snapshotCatchup(ctx context.Context) error {
 			f.cfg.Logger.Warn("snapshot header/body watermark mismatch", "header", v, "body", seq)
 		}
 	}
-	if err := f.app.InstallSnapshot(ctx, schema, items, seq); err != nil {
+	if err := f.app.InstallSnapshot(ctx, schema, items, seq, epoch); err != nil {
 		return err
 	}
 	if epoch != "" && epoch != f.epoch {
-		if err := f.setEpoch(epoch); err != nil {
+		if err := f.saveEpoch(epoch); err != nil {
 			return err
 		}
 	}
@@ -258,12 +259,21 @@ func (f *Follower) snapshotCatchup(ctx context.Context) error {
 // setEpoch adopts a primary life: durable first (when a state dir exists),
 // then visible in /healthz via the applier.
 func (f *Follower) setEpoch(epoch string) error {
+	if err := f.saveEpoch(epoch); err != nil {
+		return err
+	}
+	f.app.SetReplicaEpoch(epoch)
+	return nil
+}
+
+// saveEpoch makes epoch the follower's fencing watermark, persisting it
+// first when a state dir exists.
+func (f *Follower) saveEpoch(epoch string) error {
 	if f.cfg.StateDir != "" {
 		if err := SaveEpoch(f.cfg.StateDir, epoch); err != nil {
 			return err
 		}
 	}
 	f.epoch = epoch
-	f.app.SetReplicaEpoch(epoch)
 	return nil
 }

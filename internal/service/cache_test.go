@@ -7,11 +7,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/xai-db/relativekeys/internal/core"
+	"github.com/xai-db/relativekeys/internal/faultinject"
 	"github.com/xai-db/relativekeys/internal/feature"
+	"github.com/xai-db/relativekeys/internal/persist"
 )
 
 // explainRaw posts one /explain and returns the exact body bytes plus the
@@ -384,5 +388,64 @@ func TestCacheDegradedEntryRules(t *testing.T) {
 	c.put("k", deg2)
 	if e, ok := c.get("k", 0); !ok || e.resp.Rule != "full" {
 		t.Fatalf("degraded overwrote non-degraded: %v %v", e, ok)
+	}
+}
+
+// TestRefusedObserveKeepsCacheWarm: an observe refused by the drift monitor
+// (500) or by the observation log (503) changes nothing — not the rows and
+// not the context version the cache keys on — so an explain cached before
+// the refusals is still a hit after them, with the same bytes.
+func TestRefusedObserveKeepsCacheWarm(t *testing.T) {
+	walFile, err := os.OpenFile(filepath.Join(t.TempDir(), walFileName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer walFile.Close() //rkvet:ignore dropperr test cleanup
+	log := &faultinject.FaultyWriteSyncer{Inner: walFile, Inj: faultinject.New(1)}
+	seed := robustSeed()
+	srv, err := NewServer(Config{
+		Schema:  robustSchema(t),
+		Alpha:   1.0,
+		Monitor: &failingMonitor{allow: len(seed)},
+		WAL:     persist.NewWAL(log),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	if _, err := srv.Warm(seed); err != nil {
+		t.Fatal(err)
+	}
+
+	req := ExplainRequest{Values: map[string]string{"Income": "5-6K", "Credit": "good", "Area": "Rural"}, Prediction: "Approved"}
+	code, first, src := explainRaw(t, ts.URL, req)
+	if code != http.StatusOK || src != "miss" {
+		t.Fatalf("first explain: %d %s, want 200 miss", code, src)
+	}
+
+	observe := func(want int) {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/observe", ObserveRequest{Values: map[string]string{"Income": "1-2K", "Credit": "poor", "Area": "Urban"}, Prediction: "Denied"})
+		resp.Body.Close() //rkvet:ignore dropperr test response close
+		if resp.StatusCode != want {
+			t.Fatalf("observe answered %d, want %d", resp.StatusCode, want)
+		}
+	}
+	observe(http.StatusInternalServerError) // the monitor refuses
+	srv.monitor = nil
+	log.WriteFailProb = 1
+	observe(http.StatusServiceUnavailable) // the log refuses
+
+	code, again, src := explainRaw(t, ts.URL, req)
+	if code != http.StatusOK || src != "hit" {
+		t.Fatalf("explain after refused observes: %d %s, want 200 hit", code, src)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatalf("cached body changed:\n%s\n%s", first, again)
+	}
+	if srv.ContextSize() != len(seed) || srv.monitorRollbacks.Load() != 1 || srv.walRollbacks.Load() != 1 {
+		t.Fatalf("size=%d monitor refusals=%d wal refusals=%d, want %d/1/1",
+			srv.ContextSize(), srv.monitorRollbacks.Load(), srv.walRollbacks.Load(), len(seed))
 	}
 }

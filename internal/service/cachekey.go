@@ -106,8 +106,10 @@ func DecodeCacheKey(s string) (CacheKey, error) {
 		return k, fmt.Errorf("service: cache key: bad label")
 	}
 	b = b[n:]
+	// Every value takes at least one byte, so a length past the remaining
+	// input is truncated — and must be refused before it sizes an allocation.
 	xlen, n := minUvarint(b)
-	if n <= 0 {
+	if n <= 0 || xlen > uint64(len(b)-n) {
 		return k, fmt.Errorf("service: cache key: truncated instance length")
 	}
 	b = b[n:]

@@ -78,7 +78,7 @@ func TestChaosConcurrentFaults(t *testing.T) {
 	if _, err := srv.Warm(robustSeed()); err != nil {
 		t.Fatal(err)
 	}
-	seeded := srv.ctx.Len()
+	seeded := srv.store.Context().Len()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -141,18 +141,18 @@ func TestChaosConcurrentFaults(t *testing.T) {
 	// The rollback invariant under concurrent injected faults: every admitted
 	// row was acknowledged, every failed observe (flaky monitor 500, faulty
 	// WAL 503) was rolled back.
-	if got, want := srv.ctx.Len(), seeded+int(observeAcked.Load()); got != want {
+	if got, want := srv.store.Context().Len(), seeded+int(observeAcked.Load()); got != want {
 		t.Fatalf("context %d rows, want seed %d + %d acked", got, seeded, int(observeAcked.Load()))
 	}
-	if srv.Seq() != uint64(srv.ctx.Len()) {
-		t.Fatalf("seq %d diverged from context size %d", srv.Seq(), srv.ctx.Len())
+	if srv.Seq() != uint64(srv.store.Context().Len()) {
+		t.Fatalf("seq %d diverged from context size %d", srv.Seq(), srv.store.Context().Len())
 	}
 	// The process is still healthy after the storm.
 	stats, err := NewClient(ts.URL).Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ContextSize != srv.ctx.Len() {
+	if stats.ContextSize != srv.store.Context().Len() {
 		t.Fatalf("stats after chaos: %+v", stats)
 	}
 }
@@ -216,12 +216,12 @@ func TestChaosObserveRollbackConcurrent(t *testing.T) {
 	if failed.Load() == 0 {
 		t.Fatal("flaky monitor never fired; the test exercised nothing")
 	}
-	if got := srv.ctx.Len(); got != int(acked.Load()) {
+	if got := srv.store.Context().Len(); got != int(acked.Load()) {
 		t.Fatalf("context %d rows after concurrent rollbacks, want %d acked", got, acked.Load())
 	}
 	// Rolled-back slots must recycle: the physical index stays within one
 	// transient slot of the live count.
-	if slots := srv.ctx.NumSlots(); slots > int(acked.Load())+1 {
+	if slots := srv.store.Context().NumSlots(); slots > int(acked.Load())+1 {
 		t.Fatalf("NumSlots %d leaks rolled-back slots (acked %d)", slots, acked.Load())
 	}
 }

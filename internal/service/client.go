@@ -112,8 +112,8 @@ func (c *Client) do(send func() (*http.Response, error), out any) error {
 		resp, err := send()
 		if err != nil {
 			// Transport-level failure: connection refused, reset mid-response,
-			// and friends. Retryable — the server rolls back half-applied
-			// observes, so a retry cannot duplicate state it rejected.
+			// and friends. Retryable — the server refuses an observe without
+			// changing state, so a retry cannot duplicate a row it rejected.
 			if attempt >= c.MaxRetries {
 				return err
 			}

@@ -162,7 +162,7 @@ func TestClientRetriesRepostBody(t *testing.T) {
 	}, "Denied"); err != nil {
 		t.Fatal(err)
 	}
-	if srv.ctx.Len() != 1 {
-		t.Fatalf("context %d after retried observe, want 1", srv.ctx.Len())
+	if srv.store.Context().Len() != 1 {
+		t.Fatalf("context %d after retried observe, want 1", srv.store.Context().Len())
 	}
 }

@@ -90,8 +90,8 @@ func TestCrashRecoveryTornWAL(t *testing.T) {
 	if len(acked) == 0 || !sawReject {
 		t.Fatalf("cut did not split the stream: %d acked, reject=%v", len(acked), sawReject)
 	}
-	if srvA.ctx.Len() != len(acked) {
-		t.Fatalf("pre-crash context %d rows, %d acked", srvA.ctx.Len(), len(acked))
+	if srvA.store.Context().Len() != len(acked) {
+		t.Fatalf("pre-crash context %d rows, %d acked", srvA.store.Context().Len(), len(acked))
 	}
 	// kill -9: the server is abandoned without Close; only the torn file
 	// remains.
@@ -104,8 +104,8 @@ func TestCrashRecoveryTornWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srvB.Close() //rkvet:ignore dropperr test cleanup
-	if srvB.ctx.Len() != len(acked) {
-		t.Fatalf("recovered %d rows, want the %d acked", srvB.ctx.Len(), len(acked))
+	if srvB.store.Context().Len() != len(acked) {
+		t.Fatalf("recovered %d rows, want the %d acked", srvB.store.Context().Len(), len(acked))
 	}
 	if srvB.Seq() != uint64(len(acked)) {
 		t.Fatalf("recovered seq %d, want %d", srvB.Seq(), len(acked))
@@ -117,7 +117,7 @@ func TestCrashRecoveryTornWAL(t *testing.T) {
 	if _, err := ref.Warm(acked); err != nil {
 		t.Fatal(err)
 	}
-	assertSameKeys(t, srvB.ctx, ref.ctx, randomRows(12, 40, schema), 1.0)
+	assertSameKeys(t, srvB.store.Context(), ref.store.Context(), randomRows(12, 40, schema), 1.0)
 }
 
 // Snapshot + WAL replay compose: recovery re-admits the snapshot rows in
@@ -143,8 +143,8 @@ func TestRecoverySnapshotPlusWALWithRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srvB.Close() //rkvet:ignore dropperr test cleanup
-	if srvB.Seq() != 10 || srvB.ctx.Len() != 6 {
-		t.Fatalf("recovered seq=%d len=%d, want 10/6", srvB.Seq(), srvB.ctx.Len())
+	if srvB.Seq() != 10 || srvB.store.Context().Len() != 6 {
+		t.Fatalf("recovered seq=%d len=%d, want 10/6", srvB.Seq(), srvB.store.Context().Len())
 	}
 	ref, err := NewWithRetention(schema, 1.0, 0, 6)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestRecoverySnapshotPlusWALWithRetention(t *testing.T) {
 	if _, err := ref.Warm(rows); err != nil {
 		t.Fatal(err)
 	}
-	assertSameKeys(t, srvB.ctx, ref.ctx, randomRows(22, 40, schema), 1.0)
+	assertSameKeys(t, srvB.store.Context(), ref.store.Context(), randomRows(22, 40, schema), 1.0)
 	// Retention stays arrival-ordered post-recovery: further observations
 	// evict the same rows on both servers.
 	more := randomRows(23, 4, schema)
@@ -163,7 +163,7 @@ func TestRecoverySnapshotPlusWALWithRetention(t *testing.T) {
 	if _, err := ref.Warm(more); err != nil {
 		t.Fatal(err)
 	}
-	assertSameKeys(t, srvB.ctx, ref.ctx, randomRows(24, 40, schema), 1.0)
+	assertSameKeys(t, srvB.store.Context(), ref.store.Context(), randomRows(24, 40, schema), 1.0)
 }
 
 // A damaged snapshot must refuse to start, not silently serve a wrong
@@ -204,8 +204,8 @@ func TestCloseSnapshotsFinalState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srvB.Close() //rkvet:ignore dropperr test cleanup
-	if srvB.ctx.Len() != 7 || srvB.Seq() != 7 {
-		t.Fatalf("clean-shutdown recovery: len=%d seq=%d, want 7/7", srvB.ctx.Len(), srvB.Seq())
+	if srvB.store.Context().Len() != 7 || srvB.Seq() != 7 {
+		t.Fatalf("clean-shutdown recovery: len=%d seq=%d, want 7/7", srvB.store.Context().Len(), srvB.Seq())
 	}
 }
 

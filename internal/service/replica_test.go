@@ -200,12 +200,13 @@ func TestInstallSnapshotSwapsAtomically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Install replaces everything: rows, watermark, and the durable snapshot.
-	if err := srv.InstallSnapshot(ctx, robustSchema(t), seed, 42); err != nil {
+	// Install replaces everything: rows, watermark, epoch, and the durable
+	// snapshot.
+	if err := srv.InstallSnapshot(ctx, robustSchema(t), seed, 42, "e2"); err != nil {
 		t.Fatal(err)
 	}
-	if srv.ContextSize() != len(seed) || srv.Seq() != 42 {
-		t.Fatalf("after install: size=%d seq=%d, want %d/42", srv.ContextSize(), srv.Seq(), len(seed))
+	if srv.ContextSize() != len(seed) || srv.Seq() != 42 || srv.Epoch() != "e2" {
+		t.Fatalf("after install: size=%d seq=%d epoch=%q, want %d/42/e2", srv.ContextSize(), srv.Seq(), srv.Epoch(), len(seed))
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotFileName)); err != nil {
 		t.Fatalf("install did not persist the watermark snapshot: %v", err)
@@ -221,11 +222,16 @@ func TestInstallSnapshotSwapsAtomically(t *testing.T) {
 		{Name: "Income", Values: []string{"1-2K", "3-4K", "5-6K"}},
 		{Name: "Credit", Values: []string{"poor", "good"}},
 	}, []string{"Denied", "Approved"})
-	if err := srv.InstallSnapshot(ctx, bad, nil, 50); err == nil {
+	if err := srv.InstallSnapshot(ctx, bad, nil, 50, "e3"); err == nil {
 		t.Fatal("InstallSnapshot accepted a mismatched schema")
 	}
-	if srv.ContextSize() != len(seed) || srv.Seq() != 42 {
-		t.Fatalf("failed install mutated state: size=%d seq=%d, want %d/42", srv.ContextSize(), srv.Seq(), len(seed))
+	// An invalid row fails the install just the same.
+	invalid := append(append([]feature.Labeled{}, seed...), feature.Labeled{X: feature.Instance{9, 9, 9}, Y: 0})
+	if err := srv.InstallSnapshot(ctx, robustSchema(t), invalid, 50, "e3"); err == nil {
+		t.Fatal("InstallSnapshot accepted an out-of-domain row")
+	}
+	if srv.ContextSize() != len(seed) || srv.Seq() != 42 || srv.Epoch() != "e2" {
+		t.Fatalf("failed install mutated state: size=%d seq=%d epoch=%q, want %d/42/e2", srv.ContextSize(), srv.Seq(), srv.Epoch(), len(seed))
 	}
 }
 
@@ -257,7 +263,7 @@ func TestInstallSnapshotInvalidatesExplainCache(t *testing.T) {
 
 	// Install a snapshot of three DIFFERENT rows: the fresh context's version
 	// is again 3, the exact collision the version base must prevent.
-	if err := srv.InstallSnapshot(ctx, robustSchema(t), seed[3:], 42); err != nil {
+	if err := srv.InstallSnapshot(ctx, robustSchema(t), seed[3:], 42, ""); err != nil {
 		t.Fatal(err)
 	}
 

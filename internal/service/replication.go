@@ -7,7 +7,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/xai-db/relativekeys/internal/core"
 	"github.com/xai-db/relativekeys/internal/feature"
 	"github.com/xai-db/relativekeys/internal/persist"
 )
@@ -48,32 +47,23 @@ func (s *Server) ApplyReplicated(ctx context.Context, seq uint64, li feature.Lab
 	if seq != s.seq+1 {
 		return fmt.Errorf("%w: got seq %d with watermark %d", ErrReplicaGap, seq, s.seq)
 	}
-	slot, err := s.admitLocked(ctx, li)
-	if err != nil {
+	if err := s.applyLocked(ctx, li); err != nil {
 		return err
 	}
 	s.seq = seq
-	s.commitLocked(slot)
 	s.markSyncedLocked()
-	s.sinceSnapshot++
-	if s.snapPath != "" && s.sinceSnapshot >= s.snapshotEvery {
-		s.sinceSnapshot = 0
-		if err := s.snapshotLocked(); err != nil {
-			// Non-fatal: the follower re-syncs a longer tail after a crash.
-			s.snapFailures.Add(1)
-			snapshotFailures.Inc()
-			s.logger.Warn("follower snapshot failed", "err", err)
-		}
-	}
+	s.maybeSnapshotLocked()
 	return nil
 }
 
 // InstallSnapshot replaces the follower's entire context with a snapshot
 // fetched from the primary — the catch-up path when the WAL tail is gone
-// (primary restarted, or the follower lagged past compaction). The swap is
-// atomic: nothing is mutated until every row has been admitted into a fresh
-// context, so a mid-install failure leaves the previous state serving.
-func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, items []feature.Labeled, seq uint64) error {
+// (primary restarted, or the follower lagged past compaction) — and adopts
+// the primary life the snapshot came from. The swap is atomic: rows, seq
+// watermark and epoch change together under the state lock, so no reader
+// sees the new rows under the old epoch, and a mid-install failure leaves
+// the previous state serving. An empty epoch keeps the current one.
+func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, items []feature.Labeled, seq uint64, epoch string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.follower {
@@ -85,17 +75,8 @@ func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, it
 	if schema.NumFeatures() != s.schema.NumFeatures() || len(schema.Labels) != len(s.schema.Labels) {
 		return fmt.Errorf("service: snapshot schema (%d attrs, %d labels) does not match the replica schema", schema.NumFeatures(), len(schema.Labels))
 	}
-	nctx, err := core.NewContextSized(s.schema, nil, s.retain)
-	if err != nil {
-		return err
-	}
-	order := make([]int, 0, len(items))
-	for _, li := range items {
-		slot, aerr := nctx.AddSlot(li)
-		if aerr != nil {
-			return fmt.Errorf("service: snapshot install: %w", aerr)
-		}
-		order = append(order, slot)
+	if err := s.store.Replace(items); err != nil {
+		return fmt.Errorf("service: snapshot install: %w", err)
 	}
 	if s.monitor != nil {
 		// The drift panel is a statistic of the stream, not ground truth:
@@ -108,20 +89,8 @@ func (s *Server) InstallSnapshot(ctx context.Context, schema *feature.Schema, it
 			}
 		}
 	}
-	// The fresh context's Version() restarts at zero; advance the base past
-	// every version the old context used so cache keys stay monotonic and a
-	// pre-snapshot entry can never be served for post-snapshot content
-	// (mirrors cce.Window.Reset's ctxVersionBase bump).
-	s.ctxVersionBase += s.ctx.Version() + 1
-	s.ctx = nctx
-	s.order, s.orderHead = order, 0
-	if s.retain > 0 {
-		for s.ctx.Len() > s.retain {
-			if rerr := s.ctx.Remove(s.order[s.orderHead]); rerr != nil {
-				panic(fmt.Sprintf("service: retention eviction: %v", rerr))
-			}
-			s.orderHead++
-		}
+	if epoch != "" {
+		s.epoch = epoch
 	}
 	s.seq = seq
 	s.sinceSnapshot = 0
@@ -200,8 +169,9 @@ func (s *Server) ReplicaLagEntries() int64 {
 }
 
 // SetReplicaEpoch pins the primary boot identity this follower's state
-// mirrors. The follower calls it after epoch-changing catch-up; streams from
-// any other epoch are fenced off.
+// mirrors: the epoch restored at follower start, or the one learned at first
+// contact (snapshot catch-up adopts its epoch inside InstallSnapshot).
+// Streams from any other epoch are fenced off.
 func (s *Server) SetReplicaEpoch(epoch string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -247,5 +217,5 @@ func (s *Server) WALPath() string { return s.walPath }
 func (s *Server) WriteSnapshotTo(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return persist.EncodeSnapshot(w, s.schema, s.itemsLocked(), s.seq)
+	return persist.EncodeSnapshot(w, s.schema, s.store.Items(), s.seq)
 }

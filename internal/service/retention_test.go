@@ -50,14 +50,14 @@ func TestRetentionBoundsContext(t *testing.T) {
 		if want > 5 {
 			want = 5
 		}
-		if got := srv.ctx.Len(); got != want {
+		if got := srv.store.Context().Len(); got != want {
 			t.Fatalf("after %d observes: context %d, want %d", i+1, got, want)
 		}
 	}
 	// The physical index must not outgrow the retention bound: admission
 	// precedes eviction (so a monitor failure can roll back cleanly), which
 	// allows at most one transient extra slot.
-	if got := srv.ctx.NumSlots(); got > 6 {
+	if got := srv.store.Context().NumSlots(); got > 6 {
 		t.Fatalf("NumSlots = %d, want ≤ retain+1 (slots must recycle)", got)
 	}
 	stats, err := client.Stats()
@@ -75,7 +75,7 @@ func TestRetentionBoundsContext(t *testing.T) {
 	}
 	// Retention evicts oldest-first: the first observed row is gone, so the
 	// live rows are exactly rows[3:].
-	liveItems := srv.ctx.LiveItems()
+	liveItems := srv.store.Context().LiveItems()
 	if len(liveItems) != 5 {
 		t.Fatalf("LiveItems = %d, want 5", len(liveItems))
 	}
@@ -96,8 +96,8 @@ func TestRetentionWarm(t *testing.T) {
 	if err != nil || n != 4 {
 		t.Fatalf("Warm = %d, %v", n, err)
 	}
-	if srv.ctx.Len() != 3 {
-		t.Fatalf("context %d after warm, want 3", srv.ctx.Len())
+	if srv.store.Context().Len() != 3 {
+		t.Fatalf("context %d after warm, want 3", srv.store.Context().Len())
 	}
 }
 
@@ -130,8 +130,8 @@ func TestObserveAtomicRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if srv.ctx.Len() != 2 {
-		t.Fatalf("context %d before failure, want 2", srv.ctx.Len())
+	if srv.store.Context().Len() != 2 {
+		t.Fatalf("context %d before failure, want 2", srv.store.Context().Len())
 	}
 	// Monitor now fails: the observe must 500 AND leave the context as-is.
 	err := client.Observe(row, "Denied")
@@ -141,8 +141,8 @@ func TestObserveAtomicRollback(t *testing.T) {
 	if !strings.Contains(err.Error(), "500") {
 		t.Fatalf("want 500 error, got %v", err)
 	}
-	if srv.ctx.Len() != 2 {
-		t.Fatalf("context %d after failed observe, want 2 (rollback)", srv.ctx.Len())
+	if srv.store.Context().Len() != 2 {
+		t.Fatalf("context %d after failed observe, want 2 (rollback)", srv.store.Context().Len())
 	}
 	// A later successful path (monitor swapped out) reuses the rolled-back
 	// slot rather than leaking it.
@@ -150,8 +150,8 @@ func TestObserveAtomicRollback(t *testing.T) {
 	if err := client.Observe(row, "Denied"); err != nil {
 		t.Fatal(err)
 	}
-	if srv.ctx.Len() != 3 || srv.ctx.NumSlots() != 3 {
-		t.Fatalf("context Len=%d NumSlots=%d after retry, want 3/3", srv.ctx.Len(), srv.ctx.NumSlots())
+	if srv.store.Context().Len() != 3 || srv.store.Context().NumSlots() != 3 {
+		t.Fatalf("context Len=%d NumSlots=%d after retry, want 3/3", srv.store.Context().Len(), srv.store.Context().NumSlots())
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 
 // DriftObserver is the slice of cce.DriftMonitor the server depends on; a
 // seam so tests and the fault-injection harness can interpose failing or
-// slow monitors when exercising the observe rollback path.
+// slow monitors when exercising the observe refusal path.
 type DriftObserver interface {
 	ObserveCtx(ctx context.Context, li feature.Labeled) (int, error)
 	AvgSuccinctness() float64
@@ -145,18 +145,8 @@ type Server struct {
 	jobs *jobStore // nil = jobs disabled (never in practice; see NewServer)
 
 	mu      sync.RWMutex
-	ctx     *core.Context // guarded by mu
+	store   *cce.Store    // guarded by mu; context, retention, cache-key version
 	monitor DriftObserver // guarded by mu
-
-	// ctxVersionBase keeps the cache-key version monotonic across context
-	// swaps (InstallSnapshot replaces s.ctx with a fresh context whose
-	// Version() restarts at zero), mirroring cce.Window.ctxVersionBase: a
-	// pre-swap cache entry must never collide with a post-swap version.
-	ctxVersionBase uint64 // guarded by mu
-
-	// order tracks live context slots oldest-first when retention is on.
-	order     []int // guarded by mu
-	orderHead int   // guarded by mu
 
 	wal           *persist.WAL // guarded by mu; nil = no observation log
 	seq           uint64       // guarded by mu; last durable observation number
@@ -185,9 +175,9 @@ type Server struct {
 	syncFailures    atomic.Int64
 	snapFailures    atomic.Int64
 
-	// Observation rollbacks: the context add was undone after a downstream
-	// stage refused the row (monitor rejection, WAL append failure), so the
-	// client's retry is safe. Surfaced in /healthz and as obs counters.
+	// Refused observations (monitor rejection, WAL append failure): nothing
+	// changed, so the client's retry is safe. Surfaced in /healthz and as obs
+	// counters under their historical "rollback" names.
 	monitorRollbacks atomic.Int64
 	walRollbacks     atomic.Int64
 
@@ -222,10 +212,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Retain < 0 {
 		return nil, fmt.Errorf("service: retention %d must be ≥ 0", cfg.Retain)
 	}
-	ctx, err := core.NewContextSized(cfg.Schema, nil, cfg.Retain)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		schema:          cfg.Schema,
 		alpha:           cfg.Alpha,
@@ -236,7 +222,7 @@ func NewServer(cfg Config) (*Server, error) {
 		minDeadline:     cfg.MinDeadline,
 		snapshotEvery:   cfg.SnapshotEvery,
 		walSyncEvery:    cfg.WALSyncEvery,
-		ctx:             ctx,
+		store:           cce.NewStore(cfg.Schema, cfg.Retain),
 		follower:        cfg.Follower,
 		compactWAL:      cfg.CompactWAL,
 		epoch:           cfg.Epoch,
@@ -336,11 +322,9 @@ func (s *Server) recoverLocked(walPath string) error {
 		s.seq = seq
 		for _, li := range items {
 			//rkvet:ignore ctxflow snapshot replay runs inside NewServer before any request exists; recovery must complete, not degrade to a partial context
-			slot, err := s.admitLocked(context.Background(), li)
-			if err != nil {
+			if err := s.applyLocked(context.Background(), li); err != nil {
 				return fmt.Errorf("service: snapshot replay: %w", err)
 			}
-			s.commitLocked(slot)
 		}
 	case os.IsNotExist(err):
 		// First boot: nothing to recover.
@@ -360,11 +344,9 @@ func (s *Server) recoverLocked(walPath string) error {
 	}
 	res, err := persist.ReplayWALFileFrom(walPath, s.seq, func(seq uint64, li feature.Labeled) error {
 		//rkvet:ignore ctxflow WAL replay runs inside NewServer before any request exists; a torn replay would lose acknowledged observations
-		slot, err := s.admitLocked(context.Background(), li)
-		if err != nil {
+		if err := s.applyLocked(context.Background(), li); err != nil {
 			return err
 		}
-		s.commitLocked(slot)
 		s.seq = seq
 		return nil
 	})
@@ -383,90 +365,68 @@ func (s *Server) recoverLocked(walPath string) error {
 	return nil
 }
 
-// admitLocked adds one instance to the context and the drift monitor as a
-// unit: if the monitor rejects the instance after the context accepted it,
-// the context add is rolled back so a client retry cannot duplicate the row.
-// Callers hold s.mu; on success they must follow with commitLocked (or roll
-// back themselves via ctx.Remove).
-func (s *Server) admitLocked(ctx context.Context, li feature.Labeled) (int, error) {
-	slot, err := s.ctx.AddSlot(li)
-	if err != nil {
-		return 0, err
+// admitLocked runs the stages of the observation pipeline that may refuse a
+// row without having changed anything: validation (a client error) and the
+// drift monitor (monitorError). Callers hold s.mu.
+func (s *Server) admitLocked(ctx context.Context, li feature.Labeled) error {
+	if err := s.schema.ValidateLabeled(li); err != nil {
+		return err
 	}
 	if s.monitor != nil {
 		if _, err := s.monitor.ObserveCtx(ctx, li); err != nil {
 			s.monitorRollbacks.Add(1)
 			rollbackMonitor.Inc()
-			s.logger.Warn("observation rolled back: monitor rejected the row", "err", err)
-			if rerr := s.ctx.Remove(slot); rerr != nil {
-				return 0, monitorError{fmt.Errorf("%w (rollback failed: %v)", err, rerr)}
-			}
-			return 0, monitorError{err}
+			s.logger.Warn("observation refused: monitor rejected the row", "err", err)
+			return monitorError{err}
 		}
 	}
-	return slot, nil
+	return nil
 }
 
-// commitLocked finishes an admitted observation: it enters the slot into the
-// retention FIFO and evicts the oldest rows past the bound. Callers hold
-// s.mu.
-func (s *Server) commitLocked(slot int) {
-	if s.retain <= 0 {
-		return
+// applyLocked admits a row that is already logged — recovery replay and the
+// replicated stream — and pushes it into the context. Callers hold s.mu.
+func (s *Server) applyLocked(ctx context.Context, li feature.Labeled) error {
+	if err := s.admitLocked(ctx, li); err != nil {
+		return err
 	}
-	s.order = append(s.order, slot)
-	for s.ctx.Len() > s.retain {
-		if err := s.ctx.Remove(s.order[s.orderHead]); err != nil {
-			// Slots in the FIFO are live by construction; a failure here is a
-			// programming error, not an input error.
-			panic(fmt.Sprintf("service: retention eviction: %v", err))
-		}
-		s.orderHead++
-	}
-	// Compact the slot FIFO once the dead prefix dominates.
-	if s.orderHead > len(s.order)/2 && s.orderHead > 64 {
-		s.order = append(s.order[:0], s.order[s.orderHead:]...)
-		s.orderHead = 0
-	}
+	return s.store.Push(li)
 }
 
-// observeLocked runs the full observation pipeline: admit (context +
-// monitor, with rollback), log to the WAL, then commit retention and maybe
-// snapshot. The WAL append happens before the observation becomes evictable
-// so a crash cannot lose a row the client saw acknowledged (modulo the sync
-// policy). Callers hold s.mu.
+// observeLocked runs the observation pipeline: validate → monitor → WAL
+// append (and sync) → context push → seq → replication publish → maybe
+// snapshot. Every stage that can refuse the row runs before the push, so a
+// refusal has nothing to undo, and a crash cannot lose a row the client saw
+// acknowledged (modulo the sync policy). Callers hold s.mu.
 func (s *Server) observeLocked(ctx context.Context, li feature.Labeled) error {
-	slot, err := s.admitLocked(ctx, li)
-	if err != nil {
+	if err := s.admitLocked(ctx, li); err != nil {
 		return err
 	}
 	if s.wal != nil {
 		if err := s.wal.Append(s.seq+1, li); err != nil {
 			// The record did not reach the log (a torn tail is dropped on
-			// replay), so roll the row back: the client gets a retryable 503
-			// and the state stays exactly as before the request. The monitor
-			// has already counted the arrival; panel statistics may run one
-			// ahead, which is acceptable for a drift estimate.
+			// replay), so the row is refused: the client gets a retryable 503.
+			// The monitor has already counted the arrival; panel statistics
+			// may run one ahead, which is acceptable for a drift estimate.
 			s.walRollbacks.Add(1)
 			rollbackWAL.Inc()
-			s.logger.Warn("observation rolled back: wal append failed", "err", err)
-			if rerr := s.ctx.Remove(slot); rerr != nil {
-				return persistError{fmt.Errorf("%w (rollback failed: %v)", err, rerr)}
-			}
+			s.logger.Warn("observation refused: wal append failed", "err", err)
 			return persistError{err}
 		}
 		s.sinceSync++
 		if s.sinceSync >= s.walSyncEvery {
 			s.sinceSync = 0
 			if err := s.wal.Sync(); err != nil {
-				// The row is in memory and in the kernel's page cache; only
-				// durability against power loss is uncertain. Count it rather
-				// than force the client into a duplicating retry.
+				// The record is in the kernel's page cache; only durability
+				// against power loss is uncertain. Count it rather than force
+				// the client into a duplicating retry.
 				s.syncFailures.Add(1)
 				walSyncFailures.Inc()
 				s.logger.Warn("wal sync failed", "err", err)
 			}
 		}
+	}
+	if err := s.store.Push(li); err != nil {
+		return err // unreachable: admitLocked validated the row
 	}
 	s.seq++
 	if s.onReplicate != nil {
@@ -474,42 +434,32 @@ func (s *Server) observeLocked(ctx context.Context, li feature.Labeled) error {
 		// must never apply a row its primary could forget in a crash.
 		s.onReplicate(s.seq, li)
 	}
-	s.commitLocked(slot)
-	s.sinceSnapshot++
-	if s.snapPath != "" && s.sinceSnapshot >= s.snapshotEvery {
-		s.sinceSnapshot = 0
-		if err := s.snapshotLocked(); err != nil {
-			// The WAL still covers everything since the last good snapshot;
-			// recovery just replays more.
-			s.snapFailures.Add(1)
-			snapshotFailures.Inc()
-			s.logger.Warn("periodic snapshot failed", "err", err)
-		} else if s.compactWAL && s.wal != nil {
-			// The snapshot covers every logged record, so the log can start
-			// over; followers below the new base catch up from the snapshot.
-			if err := s.wal.Truncate(); err != nil {
-				s.logger.Warn("wal compaction failed", "err", err)
-			} else {
-				s.walBase = s.seq
-			}
-		}
-	}
+	s.maybeSnapshotLocked()
 	return nil
 }
 
-// itemsLocked returns the live rows in arrival order — the order retention
-// needs to keep evicting oldest-first after a recovery. Callers hold s.mu.
-func (s *Server) itemsLocked() []feature.Labeled {
-	if s.retain <= 0 {
-		return s.ctx.LiveItems()
+// maybeSnapshotLocked takes the periodic snapshot every snapshotEvery rows.
+// A failure is not fatal: the WAL (on a follower, the primary's) still covers
+// everything since the last good snapshot. Callers hold s.mu.
+func (s *Server) maybeSnapshotLocked() {
+	s.sinceSnapshot++
+	if s.snapPath == "" || s.sinceSnapshot < s.snapshotEvery {
+		return
 	}
-	items := make([]feature.Labeled, 0, s.ctx.Len())
-	for _, slot := range s.order[s.orderHead:] {
-		if s.ctx.Alive(slot) {
-			items = append(items, s.ctx.Item(slot))
+	s.sinceSnapshot = 0
+	if err := s.snapshotLocked(); err != nil {
+		s.snapFailures.Add(1)
+		snapshotFailures.Inc()
+		s.logger.Warn("periodic snapshot failed", "err", err)
+	} else if s.compactWAL && s.wal != nil {
+		// The snapshot covers every logged record, so the log can start
+		// over; followers below the new base catch up from the snapshot.
+		if err := s.wal.Truncate(); err != nil {
+			s.logger.Warn("wal compaction failed", "err", err)
+		} else {
+			s.walBase = s.seq
 		}
 	}
-	return items
 }
 
 // snapshotLocked atomically writes the current rows and sequence watermark.
@@ -518,15 +468,7 @@ func (s *Server) snapshotLocked() error {
 	if s.snapPath == "" {
 		return nil
 	}
-	return persist.SaveSnapshot(s.snapPath, s.schema, s.itemsLocked(), s.seq)
-}
-
-// Snapshot forces a snapshot of the current state to the configured state
-// directory; a no-op without persistence.
-func (s *Server) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotLocked()
+	return persist.SaveSnapshot(s.snapPath, s.schema, s.store.Items(), s.seq)
 }
 
 // Close snapshots the final state, closes the observation log, and marks the
@@ -557,7 +499,7 @@ func (s *Server) Close() error {
 func (s *Server) ContextSize() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.ctx.Len()
+	return s.store.Len()
 }
 
 // HealthzHandler exposes /healthz standalone, for an ops mux bound to a
@@ -756,8 +698,8 @@ type StatsResponse struct {
 }
 
 // HealthResponse is the /healthz body: liveness plus the failure counters an
-// operator checks first — observation rollbacks (client-visible 500/503s with
-// state correctly undone), durability hiccups, and recovered panics.
+// operator checks first — refused observations (client-visible 500/503s that
+// left the state unchanged), durability hiccups, and recovered panics.
 type HealthResponse struct {
 	Status           string `json:"status"` // "ok" or "draining"
 	UptimeSeconds    int64  `json:"uptime_seconds"`
@@ -785,8 +727,8 @@ type monitorError struct{ err error }
 func (e monitorError) Error() string { return e.err.Error() }
 func (e monitorError) Unwrap() error { return e.err }
 
-// persistError marks observation-log failures: the observation was rolled
-// back and the client should retry (503 + Retry-After).
+// persistError marks observation-log failures: the observation was refused
+// and the client should retry (503 + Retry-After).
 type persistError struct{ err error }
 
 func (e persistError) Error() string { return e.err.Error() }
@@ -853,7 +795,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, map[string]int{"context_size": s.ctx.Len()})
+	writeJSON(w, map[string]int{"context_size": s.store.Len()})
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -984,7 +926,7 @@ func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha fl
 		return s.solveEntryLocked(ctx, li, alpha, budget), "bypass"
 	}
 	ckey := EncodeCacheKey(CacheKey{
-		Version: s.ctxVersionBase + s.ctx.Version(),
+		Version: s.store.Version(),
 		Config:  s.solverTag,
 		Alpha:   alpha,
 		Y:       li.Y,
@@ -1036,20 +978,21 @@ func (s *Server) explainLocked(ctx context.Context, li feature.Labeled, alpha fl
 // Callers hold s.mu (read).
 func (s *Server) solveEntryLocked(ctx context.Context, li feature.Labeled, alpha float64, budget time.Duration) solveOutcome {
 	start := time.Now()
-	key, degraded, err := s.solve(ctx, s.ctx, li.X, li.Y, alpha)
+	c := s.store.Context()
+	key, degraded, err := s.solve(ctx, c, li.X, li.Y, alpha)
 	if err == core.ErrNoKey {
 		// The no-key verdict is exact (never deadline-degraded), so it caches
 		// as a first-class deterministic answer.
-		return solveOutcome{e: &cachedExplain{noKey: true, resp: ExplainResponse{Context: s.ctx.Len()}}}
+		return solveOutcome{e: &cachedExplain{noKey: true, resp: ExplainResponse{Context: c.Len()}}}
 	}
 	if err != nil {
 		return solveOutcome{err: err}
 	}
 	resp := ExplainResponse{
 		Rule:      key.RenderRule(s.schema, li.X, li.Y),
-		Precision: core.PrecisionPar(s.ctx, li.X, li.Y, key, s.parallelism),
-		Coverage:  core.CoveragePar(s.ctx, li.X, li.Y, key, s.parallelism),
-		Context:   s.ctx.Len(),
+		Precision: core.PrecisionPar(c, li.X, li.Y, key, s.parallelism),
+		Coverage:  core.CoveragePar(c, li.X, li.Y, key, s.parallelism),
+		Context:   c.Len(),
 		Degraded:  degraded,
 	}
 	for _, a := range key {
@@ -1072,7 +1015,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	resp := StatsResponse{
-		ContextSize:      s.ctx.Len(),
+		ContextSize:      s.store.Len(),
 		Alpha:            s.alpha,
 		Retention:        s.retain,
 		SolverParallel:   s.parallelism,
@@ -1127,7 +1070,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := HealthResponse{
 		Status:           status,
 		UptimeSeconds:    int64(time.Since(s.start).Seconds()),
-		ContextSize:      s.ctx.Len(),
+		ContextSize:      s.store.Len(),
 		Seq:              s.seq,
 		RollbacksMonitor: s.monitorRollbacks.Load(),
 		RollbacksWAL:     s.walRollbacks.Load(),
