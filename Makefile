@@ -5,7 +5,7 @@ GO ?= go
 # One ~10s native-fuzz burst per target; see fuzz-smoke.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet lint lint-fast lint-deep race bench bench-json bench-json-smoke bench-gate tier1 fuzz-smoke chaos-smoke replica-chaos-smoke stress obs-smoke loadgen-smoke ci
+.PHONY: all build test vet lint lint-fast lint-deep race bench bench-json bench-json-smoke bench-gate tier1 fuzz-smoke chaos-smoke replica-chaos-smoke stress solver-race obs-smoke loadgen-smoke ci
 
 # Committed perf baseline the bench gate compares against (see bench-gate).
 BENCH_BASELINE ?= BENCH_2026-08-07.json
@@ -129,6 +129,25 @@ replica-chaos-smoke:
 # instead of intermittently after merge.
 stress:
 	$(GO) test -count=5 -cpu=1,2,4 ./internal/replica/ ./internal/service/ ./internal/cce/
+
+# The solver differentials under the race detector, twice over: the
+# striped-solver differential + stress tests (core, cce) and the
+# lazy-vs-eager suite (core). A -run regex that matches nothing passes
+# silently, so each regex must first list at least one test in each package
+# it runs over — a renamed test fails here instead of dropping out of CI.
+SOLVER_RACE_STRIPED = Differential|Parallel
+SOLVER_RACE_LAZY    = Lazy|SRKOrdered|PostingCount
+
+solver-race:
+	@for check in '$(SOLVER_RACE_STRIPED) ./internal/core/' '$(SOLVER_RACE_STRIPED) ./internal/cce/' \
+		'$(SOLVER_RACE_LAZY) ./internal/core/'; do \
+		set -- $$check; \
+		if ! $(GO) test -list "$$1" "$$2" | grep -qE '^(Test|Fuzz)'; then \
+			echo "solver-race: -run '$$1' lists no test in $$2" >&2; exit 1; \
+		fi; \
+	done
+	$(GO) test -race -run '$(SOLVER_RACE_STRIPED)' -count=2 ./internal/core/ ./internal/cce/
+	$(GO) test -race -run '$(SOLVER_RACE_LAZY)' -count=2 ./internal/core/
 
 # Tier-1 gate from ROADMAP.md.
 tier1: build test

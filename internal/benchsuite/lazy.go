@@ -1,6 +1,7 @@
 package benchsuite
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -124,12 +125,12 @@ func benchStaircase(n int, lazy bool) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got, err := core.SRKLazy(d.ctx, d.x, d.y, staircaseAlpha); err != nil || !got.Equal(eager) {
+		if got, err := srkLazy(d.ctx, d.x, d.y, staircaseAlpha); err != nil || !got.Equal(eager) {
 			b.Fatalf("lazy key %v (err %v) differs from eager %v", got, err, eager)
 		}
 		solve := core.SRK
 		if lazy {
-			solve = core.SRKLazy
+			solve = srkLazy
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -141,6 +142,13 @@ func benchStaircase(n int, lazy bool) func(b *testing.B) {
 	}
 }
 
+// srkLazy is the lazy production entry at one worker in SRK's signature, so
+// it can stand in for the eager solve.
+func srkLazy(c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, error) {
+	key, _, err := core.SRKAnytimePar(context.Background(), c, x, y, alpha, 1) //rkvet:ignore ctxflow the benchmark times the never-cancelled solve; there is no caller deadline to forward
+	return key, err
+}
+
 // benchSRKLazyLoan is benchSRK on the lazy engine: small real-data contexts,
 // where lazy must stay within noise of eager (the seed round dominates).
 func benchSRKLazyLoan(b *testing.B) {
@@ -149,7 +157,7 @@ func benchSRKLazyLoan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		li := inference[i%len(inference)]
-		if _, err := core.SRKLazy(ctx, li.X, li.Y, 1.0); err != nil && err != core.ErrNoKey {
+		if _, err := srkLazy(ctx, li.X, li.Y, 1.0); err != nil && err != core.ErrNoKey {
 			b.Fatal(err)
 		}
 	}

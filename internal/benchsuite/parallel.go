@@ -1,6 +1,7 @@
 package benchsuite
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -99,11 +100,12 @@ func syntheticContext(b *testing.B, n int) synthData {
 func benchSRKParallel(n, par int) func(b *testing.B) {
 	return func(b *testing.B) {
 		d := syntheticContext(b, n)
+		bg := context.Background() //rkvet:ignore ctxflow the benchmark times the never-cancelled solve; there is no caller deadline to forward
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			li := d.rows[i%len(d.rows)]
-			if _, err := core.SRKPar(d.ctx, li.X, li.Y, 1.0, par); err != nil && err != core.ErrNoKey {
+			if _, _, err := core.SRKAnytimePar(bg, d.ctx, li.X, li.Y, 1.0, par); err != nil && err != core.ErrNoKey {
 				b.Fatal(err)
 			}
 		}

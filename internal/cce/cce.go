@@ -53,7 +53,8 @@ func NewBatch(schema *feature.Schema, inference []feature.Labeled, alpha float64
 // Explain computes the α-conformant relative key for an instance whose
 // prediction is known client-side.
 func (b *Batch) Explain(x feature.Instance, y feature.Label) (core.Key, error) {
-	return core.SRKPar(b.Ctx, x, y, b.Alpha, b.Parallelism)
+	key, _, err := b.ExplainCtx(context.Background(), x, y) //rkvet:ignore ctxflow Explain is the sanctioned never-cancelled specialization of the batch explainer
+	return key, err
 }
 
 // ExplainCtx is Explain under a deadline: the solve is cancellable, and an

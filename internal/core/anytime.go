@@ -17,8 +17,13 @@ import (
 // sentinel and context.DeadlineExceeded / context.Canceled.
 var ErrDeadline = errors.New("core: solver cancelled before a valid key was found")
 
-// SRKAnytime is SRK with cooperative cancellation: it checks ctx once per
-// greedy round (each round is a full feature scan, the natural checkpoint
+// SRKAnytimePar is the production SRK entry: the lazy-greedy engine
+// (lazy.go), cancellable, with up to par intra-solve workers. Its keys are
+// byte-identical to SRK's eager reference loop on every input (lazy_test.go);
+// par ≤ 1, or a context smaller than MinParallelRows, runs the same engine
+// without the worker pool.
+//
+// It checks ctx once per greedy round (each round is the natural checkpoint
 // granularity) and, when the deadline expires mid-solve, switches to a cheap
 // single-pass completion that extends the current partial key with every
 // still-discriminating feature in index order. The completion intersects the
@@ -33,14 +38,18 @@ var ErrDeadline = errors.New("core: solver cancelled before a valid key was foun
 // and skipping it in the completion pass loses nothing. If even the full
 // feature set leaves more than the budget, no key exists and ErrNoKey is
 // returned exactly as in the undeadlined run.
-func SRKAnytime(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, bool, error) {
-	return srkAnytimeInstrumented(ctx, c, x, y, alpha, 1, false)
+//
+// The seed round and any fallback rescans stripe their exact scans across
+// par workers; single-candidate re-evaluations stay sequential. The degraded
+// completion pass is sequential for every par, so parallel and sequential
+// runs return byte-identical keys.
+func SRKAnytimePar(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64, par int) (Key, bool, error) {
+	return srkAnytimeInstrumented(ctx, c, x, y, alpha, par, true)
 }
 
-// srkAnytimeInstrumented is the shared entry of the whole SRK family —
-// SRK/SRKAnytime (eager) and SRKLazy/SRKPar/SRKAnytimeLazyPar (lazy) — the
-// greedy engine wrapped with the stage timer, span, and degradation counter.
-// Both engines return picks in pick order; the key contract (ascending
+// srkAnytimeInstrumented is the shared entry of SRK (the eager reference
+// loop) and SRKAnytimePar (the lazy engine): the greedy engine wrapped with
+// the stage timer, span, and degradation counter. Both engines return picks in pick order; the key contract (ascending
 // feature index) is restored here with one sort, so the engines stay shareable
 // with SRKOrdered, which needs the pick order itself.
 func srkAnytimeInstrumented(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64, par int, lazy bool) (Key, bool, error) {
@@ -79,8 +88,8 @@ func srkAnytimeInstrumented(ctx context.Context, c *Context, x feature.Instance,
 
 // srkAnytime is the uninstrumented eager greedy loop: every round scans all
 // remaining candidates sequentially. It is the reference implementation the
-// lazy engine (lazy.go) and the parallel entry points are differentially
-// tested against. The returned slice holds the picked features in pick order
+// lazy engine (lazy.go) and its parallel runs are differentially tested
+// against. The returned slice holds the picked features in pick order
 // (most violator-discriminating first), not sorted; a successful empty key is
 // a nil slice.
 func srkAnytime(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64) ([]int, bool, error) {

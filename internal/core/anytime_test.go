@@ -18,8 +18,8 @@ func expiredCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-// Differential: with a background context SRKAnytime must be byte-identical
-// to SRK (same greedy loop, dead checkpoint branch).
+// Differential: with a background context the anytime entry never degrades
+// and is byte-identical to SRK (dead checkpoint branch).
 func TestSRKAnytimeMatchesSRKUncancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
@@ -27,7 +27,7 @@ func TestSRKAnytimeMatchesSRKUncancelled(t *testing.T) {
 		row := c.Item(rng.Intn(c.Len()))
 		alpha := 0.7 + 0.3*rng.Float64()
 		want, wantErr := SRK(c, row.X, row.Y, alpha)
-		got, degraded, gotErr := SRKAnytime(context.Background(), c, row.X, row.Y, alpha)
+		got, degraded, gotErr := SRKAnytimePar(context.Background(), c, row.X, row.Y, alpha, 1)
 		if degraded {
 			t.Fatalf("trial %d: background context reported degraded", trial)
 		}
@@ -51,7 +51,7 @@ func TestSRKAnytimeDegradedStillConformant(t *testing.T) {
 		c := randomContext(t, rng, 5+rng.Intn(300), 2+rng.Intn(8), 2+rng.Intn(4), 2)
 		row := c.Item(rng.Intn(c.Len()))
 		alpha := 0.7 + 0.3*rng.Float64()
-		key, degraded, err := SRKAnytime(ctx, c, row.X, row.Y, alpha)
+		key, degraded, err := SRKAnytimePar(ctx, c, row.X, row.Y, alpha, 1)
 		_, refErr := SRK(c, row.X, row.Y, alpha)
 		if errors.Is(err, ErrNoKey) {
 			if refErr == nil {
@@ -81,7 +81,7 @@ func TestSRKAnytimeDegradedMinimizes(t *testing.T) {
 	ctx := expiredCtx(t)
 	c := randomContext(t, rng, 400, 8, 3, 2)
 	row := c.Item(0)
-	key, degraded, err := SRKAnytime(ctx, c, row.X, row.Y, 0.95)
+	key, degraded, err := SRKAnytimePar(ctx, c, row.X, row.Y, 0.95, 1)
 	if err != nil {
 		t.Skipf("no key for this draw: %v", err)
 	}

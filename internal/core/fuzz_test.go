@@ -31,7 +31,9 @@ func decodeInstance(b byte) feature.Labeled {
 // indistinguishable — SRK key bytes, violation counts, disagreeing-set
 // cardinality — from a context rebuilt from scratch over its live rows. This
 // is the invariant the sliding window (cce.Window) and the service retention
-// path stand on.
+// path stand on. The row-scanning oracles (ExactMinKey, SRKNaive,
+// ViolationsBrute) are held to it too: dead slots keep their last occupant,
+// so a scan that forgets to skip them diverges from the rebuilt context.
 func FuzzContextRemoveAdd(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, byte(0))
 	f.Add([]byte{10, 20, 3, 30, 7, 40, 11}, byte(17))
@@ -73,6 +75,21 @@ func FuzzContextRemoveAdd(f *testing.F) {
 
 		target := decodeInstance(tb)
 		for _, alpha := range []float64{1.0, 0.7} {
+			e1, eerr1 := ExactMinKey(ctx, target.X, target.Y, alpha, 0)
+			e2, eerr2 := ExactMinKey(rebuilt, target.X, target.Y, alpha, 0)
+			if errors.Is(eerr1, ErrNoKey) != errors.Is(eerr2, ErrNoKey) || (eerr1 == nil) != (eerr2 == nil) || !e1.Equal(e2) {
+				t.Fatalf("α=%v: ExactMinKey diverges: incremental %v (%v), rebuilt %v (%v)", alpha, e1, eerr1, e2, eerr2)
+			}
+			n1, nerr1 := SRKNaive(ctx, target.X, target.Y, alpha)
+			n2, nerr2 := SRKNaive(rebuilt, target.X, target.Y, alpha)
+			if errors.Is(nerr1, ErrNoKey) != errors.Is(nerr2, ErrNoKey) || (nerr1 == nil) != (nerr2 == nil) || !n1.Equal(n2) {
+				t.Fatalf("α=%v: SRKNaive diverges: incremental %v (%v), rebuilt %v (%v)", alpha, n1, nerr1, n2, nerr2)
+			}
+			for _, E := range []Key{{}, e1, n1} {
+				if v1, v2 := ViolationsBrute(ctx, target.X, target.Y, E), ViolationsBrute(rebuilt, target.X, target.Y, E); v1 != v2 {
+					t.Fatalf("α=%v E=%v: ViolationsBrute diverges: incremental %d, rebuilt %d", alpha, E, v1, v2)
+				}
+			}
 			k1, err1 := SRK(ctx, target.X, target.Y, alpha)
 			k2, err2 := SRK(rebuilt, target.X, target.Y, alpha)
 			if errors.Is(err1, ErrNoKey) != errors.Is(err2, ErrNoKey) || (err1 == nil) != (err2 == nil) {

@@ -109,8 +109,8 @@ func Violations(c *Context, x feature.Instance, y feature.Label, E Key) int {
 // ViolationsBrute is the reference O(|I|·|E|) implementation used by tests.
 func ViolationsBrute(c *Context, x feature.Instance, y feature.Label, E Key) int {
 	n := 0
-	for _, li := range c.Items() {
-		if li.Y == y {
+	for i, li := range c.Items() {
+		if !c.Alive(i) || li.Y == y {
 			continue
 		}
 		if li.X.AgreesOn(x, E) {

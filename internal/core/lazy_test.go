@@ -21,37 +21,84 @@ import (
 // rounds, empty-key successes on small contexts).
 var lazyTestAlphas = []float64{0.8, 0.9, 0.95, 0.99}
 
-// TestDifferentialLazyEager sweeps random datasets × α × P ∈ {1,2,4,8},
-// comparing the lazy production entry against the eager oracle. Odd trials
-// use tie-heavy datasets (binary features over few attributes: many rows
-// collide onto the same posting lists, so gains tie constantly and the pick
-// is decided by the freq/index tie-break — the exact code path that breaks
-// if the heap order diverges from the eager scan order).
+// eagerAnytime is the eager reference loop under a caller context, through
+// the same instrumented wrapper as SRK and SRKAnytimePar so the key shape
+// (sorted, non-nil empty key) is compared too.
+func eagerAnytime(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, bool, error) {
+	return srkAnytimeInstrumented(ctx, c, x, y, alpha, 1, false)
+}
+
+// TestDifferentialLazyEager is the one lazy-vs-eager differential (DESIGN.md
+// §11–§12): SRKAnytimePar at every P ∈ {1,2,3,4,8} must return the eager
+// reference's key, error, and degraded flag, under a background context and
+// under an already-expired one — the expired context exercises the degraded
+// completion pass from round zero, the only cancellation timing deterministic
+// enough to diff exactly. P = 8 exceeds NumCPU on CI runners, and contexts as
+// small as 5 rows make P > rows routine. Each row keeps its own seed, dataset
+// sweep, and α set, so every dataset an earlier per-entry-point differential
+// drew is still drawn.
 func TestDifferentialLazyEager(t *testing.T) {
 	forceParallel(t)
-	rng := rand.New(rand.NewSource(311))
-	for trial := 0; trial < 120; trial++ {
-		var c *Context
-		if trial%2 == 1 {
-			c = randomContext(t, rng, 20+rng.Intn(400), 3+rng.Intn(4), 2, 2) // tie-heavy
-		} else {
-			c = randomContext(t, rng, 5+rng.Intn(300), 2+rng.Intn(7), 2+rng.Intn(3), 2+rng.Intn(2))
-		}
-		row := c.Item(rng.Intn(c.Len()))
-		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
-		want, wantDeg, wantErr := SRKAnytime(context.Background(), c, row.X, row.Y, alpha)
-		for _, p := range []int{1, 2, 4, 8} {
-			got, gotDeg, gotErr := SRKAnytimeLazyPar(context.Background(), c, row.X, row.Y, alpha, p)
-			if gotDeg != wantDeg {
-				t.Fatalf("trial %d P=%d α=%v: degraded %v, eager %v", trial, p, alpha, gotDeg, wantDeg)
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctxs := []struct {
+		name string
+		ctx  context.Context
+	}{{"background", context.Background()}, {"expired", expired}}
+	cases := []struct {
+		name    string
+		seed    int64
+		trials  int
+		context func(t *testing.T, rng *rand.Rand, trial int) *Context
+		alpha   func(rng *rand.Rand, trial int) float64
+	}{
+		// Odd trials use tie-heavy datasets (binary features over few
+		// attributes: many rows collide onto the same posting lists, so
+		// gains tie constantly and the pick is decided by the freq/index
+		// tie-break — the exact code path that breaks if the heap order
+		// diverges from the eager scan order).
+		{"lazy_eager", 311, 120, func(t *testing.T, rng *rand.Rand, trial int) *Context {
+			if trial%2 == 1 {
+				return randomContext(t, rng, 20+rng.Intn(400), 3+rng.Intn(4), 2, 2)
 			}
-			if !errors.Is(gotErr, wantErr) && gotErr != wantErr {
-				t.Fatalf("trial %d P=%d α=%v: err %v, eager %v", trial, p, alpha, gotErr, wantErr)
+			return randomContext(t, rng, 5+rng.Intn(300), 2+rng.Intn(7), 2+rng.Intn(3), 2+rng.Intn(2))
+		}, func(_ *rand.Rand, trial int) float64 { return lazyTestAlphas[trial%len(lazyTestAlphas)] }},
+		{"srk_parallel", 211, 80, func(t *testing.T, rng *rand.Rand, _ int) *Context {
+			return randomContext(t, rng, 5+rng.Intn(300), 2+rng.Intn(7), 2+rng.Intn(3), 2+rng.Intn(2))
+		}, func(rng *rand.Rand, trial int) float64 {
+			return []float64{1.0, 0.95, 0.85, 0.6, 0.8 + 0.2*rng.Float64()}[trial%5]
+		}},
+		{"anytime_parallel", 223, 60, func(t *testing.T, rng *rand.Rand, _ int) *Context {
+			return randomContext(t, rng, 5+rng.Intn(250), 2+rng.Intn(6), 2+rng.Intn(3), 2)
+		}, func(_ *rand.Rand, trial int) float64 { return []float64{1.0, 0.9, 0.75}[trial%3] }},
+		{"lazy_expired", 337, 40, func(t *testing.T, rng *rand.Rand, _ int) *Context {
+			return randomContext(t, rng, 10+rng.Intn(200), 2+rng.Intn(5), 2+rng.Intn(2), 2)
+		}, func(_ *rand.Rand, trial int) float64 { return lazyTestAlphas[trial%len(lazyTestAlphas)] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			for trial := 0; trial < tc.trials; trial++ {
+				c := tc.context(t, rng, trial)
+				row := c.Item(rng.Intn(c.Len()))
+				alpha := tc.alpha(rng, trial)
+				for _, cc := range ctxs {
+					want, wantDeg, wantErr := eagerAnytime(cc.ctx, c, row.X, row.Y, alpha)
+					for _, p := range testedParallelisms {
+						got, gotDeg, gotErr := SRKAnytimePar(cc.ctx, c, row.X, row.Y, alpha, p)
+						if gotDeg != wantDeg {
+							t.Fatalf("trial %d %s P=%d α=%v: degraded %v, eager %v", trial, cc.name, p, alpha, gotDeg, wantDeg)
+						}
+						if !errors.Is(gotErr, wantErr) && gotErr != wantErr {
+							t.Fatalf("trial %d %s P=%d α=%v: err %v, eager %v", trial, cc.name, p, alpha, gotErr, wantErr)
+						}
+						if !got.Equal(want) {
+							t.Fatalf("trial %d %s P=%d α=%v: key %v, eager %v", trial, cc.name, p, alpha, got, want)
+						}
+					}
+				}
 			}
-			if !got.Equal(want) {
-				t.Fatalf("trial %d P=%d α=%v: key %v, eager %v", trial, p, alpha, got, want)
-			}
-		}
+		})
 	}
 }
 
@@ -124,40 +171,10 @@ func TestLazyEmptyKeySuccess(t *testing.T) {
 	c := randomContext(t, rand.New(rand.NewSource(331)), 40, 3, 2, 2)
 	row := c.Item(0)
 	// α low enough that the initial disagreeing count fits the budget.
-	key, err := SRKLazy(c, row.X, row.Y, 0.01)
-	if err != nil {
-		t.Fatalf("SRKLazy: %v", err)
-	}
-	if key == nil || len(key) != 0 {
-		t.Fatalf("empty-key success must be non-nil Key{}, got %#v", key)
-	}
-	key, _, err = SRKAnytimeLazyPar(context.Background(), c, row.X, row.Y, 0.01, 4)
-	if err != nil || key == nil || len(key) != 0 {
-		t.Fatalf("SRKAnytimeLazyPar empty-key: key %#v err %v", key, err)
-	}
-}
-
-// TestLazyExpiredContext: an already-expired context must degrade through the
-// same completion pass as the eager solver, from round zero — the only
-// cancellation timing deterministic enough to diff exactly.
-func TestLazyExpiredContext(t *testing.T) {
-	forceParallel(t)
-	rng := rand.New(rand.NewSource(337))
-	expired, cancel := context.WithCancel(context.Background())
-	cancel()
-	for trial := 0; trial < 40; trial++ {
-		c := randomContext(t, rng, 10+rng.Intn(200), 2+rng.Intn(5), 2+rng.Intn(2), 2)
-		row := c.Item(rng.Intn(c.Len()))
-		alpha := lazyTestAlphas[trial%len(lazyTestAlphas)]
-		want, wantDeg, wantErr := SRKAnytime(expired, c, row.X, row.Y, alpha)
-		for _, p := range []int{1, 4} {
-			got, gotDeg, gotErr := SRKAnytimeLazyPar(expired, c, row.X, row.Y, alpha, p)
-			if gotDeg != wantDeg || (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("trial %d P=%d: (deg %v, err %v), eager (deg %v, err %v)", trial, p, gotDeg, gotErr, wantDeg, wantErr)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("trial %d P=%d: degraded key %v, eager %v", trial, p, got, want)
-			}
+	for _, p := range []int{1, 4} {
+		key, _, err := SRKAnytimePar(context.Background(), c, row.X, row.Y, 0.01, p)
+		if err != nil || key == nil || len(key) != 0 {
+			t.Fatalf("P=%d: empty-key success must be non-nil Key{}, got key %#v err %v", p, key, err)
 		}
 	}
 }
@@ -193,7 +210,7 @@ func TestLazyFallbackDatasets(t *testing.T) {
 		row := c.Item(0)
 		want, wantErr := SRK(c, row.X, row.Y, alpha)
 		for _, p := range []int{1, 4} {
-			got, gotErr := SRKLazyPar(c, row.X, row.Y, alpha, p)
+			got, _, gotErr := SRKAnytimePar(context.Background(), c, row.X, row.Y, alpha, p)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("α=%v P=%d: err %v, eager %v", alpha, p, gotErr, wantErr)
 			}
@@ -249,14 +266,14 @@ func FuzzLazyGreedy(f *testing.F) {
 		}
 
 		// The public entries must agree too (sorted key + empty-key shape).
-		wantKey, _, wantErr2 := SRKAnytime(context.Background(), c, target.X, target.Y, alpha)
-		gotKey, gotErr2 := SRKLazy(c, target.X, target.Y, alpha)
+		wantKey, wantErr2 := SRK(c, target.X, target.Y, alpha)
+		gotKey, _, gotErr2 := SRKAnytimePar(context.Background(), c, target.X, target.Y, alpha, 1)
 		if (gotErr2 == nil) != (wantErr2 == nil) {
-			t.Fatalf("α=%v: SRKLazy err %v, SRKAnytime err %v", alpha, gotErr2, wantErr2)
+			t.Fatalf("α=%v: SRKAnytimePar err %v, SRK err %v", alpha, gotErr2, wantErr2)
 		}
 		if gotErr2 == nil {
 			if !gotKey.Equal(wantKey) {
-				t.Fatalf("α=%v: SRKLazy key %v, eager %v", alpha, gotKey, wantKey)
+				t.Fatalf("α=%v: SRKAnytimePar key %v, eager %v", alpha, gotKey, wantKey)
 			}
 			if (gotKey == nil) != (wantKey == nil) {
 				t.Fatalf("α=%v: key nilness diverges: lazy %#v, eager %#v", alpha, gotKey, wantKey)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +17,8 @@ import (
 // become parallel partial reductions, and the SRK solve stripes its full
 // candidate scans (the lazy engine's seed round and fallback rescans) across
 // a per-solve worker pool. Every parallel path is byte-identical to its
-// sequential counterpart (asserted by the differential tests in
-// parallel_test.go): partial sums are exact integers, and the lazy heap's
+// sequential counterpart (asserted by TestDifferentialLazyEager and the
+// counter differential in parallel_test.go): partial sums are exact integers, and the lazy heap's
 // ordering replays the sequential tie-break.
 //
 // The worker pool is shared and long-lived, not per-round or per-solve: pool
@@ -59,26 +58,6 @@ func solverWorkers(par, rows int) int {
 //rkvet:noalloc
 func stripeBounds(words, stripes, s int) (int, int) {
 	return s * words / stripes, (s + 1) * words / stripes
-}
-
-// SRKPar is SRK solving with up to par concurrent workers inside the single
-// explain. It routes to the lazy-greedy engine (lazy.go) — the production
-// default — whose result is byte-identical to SRK on every input; par ≤ 1
-// (or a context smaller than MinParallelRows) runs the same engine without
-// the worker pool.
-func SRKPar(c *Context, x feature.Instance, y feature.Label, alpha float64, par int) (Key, error) {
-	key, _, err := SRKAnytimePar(context.Background(), c, x, y, alpha, par) //rkvet:ignore ctxflow SRKPar is the sanctioned never-cancelled specialization of the striped solver
-	return key, err
-}
-
-// SRKAnytimePar is SRKAnytime with intra-solve parallelism on the lazy
-// engine: the seed round and any fallback rescans stripe their exact scans
-// across par workers; single-candidate re-evaluations stay sequential.
-// Cancellation is still checked once per round, and the degraded completion
-// pass is sequential in both variants, so parallel and sequential runs return
-// byte-identical keys.
-func SRKAnytimePar(ctx context.Context, c *Context, x feature.Instance, y feature.Label, alpha float64, par int) (Key, bool, error) {
-	return srkAnytimeInstrumented(ctx, c, x, y, alpha, par, true)
 }
 
 // roundScorer scans a candidate set against a survivor bitset across the
@@ -211,44 +190,6 @@ func (rs *roundScorer) runUnits() {
 			atomic.AddInt64(&rs.counts[a], int64(cnt))
 		}
 	}
-}
-
-// DisagreeingIntoPar is DisagreeingInto with the masked complement computed
-// as striped partial operations across par workers. Stripe workers write
-// disjoint word ranges of dst, so the shared destination needs no locking;
-// the result is bit-identical to DisagreeingInto.
-func (c *Context) DisagreeingIntoPar(dst *bitset.Set, y feature.Label, par int) *bitset.Set {
-	workers := solverWorkers(par, c.Len())
-	if workers <= 1 {
-		return c.DisagreeingInto(dst, y)
-	}
-	dst.CopyFrom(c.live)
-	if y < 0 || int(y) >= len(c.byLabel) {
-		return dst
-	}
-	label := c.byLabel[y]
-	runStripes(workers, dst.NumWords(), func(lo, hi int) {
-		dst.AndNotRange(label, lo, hi)
-	})
-	return dst
-}
-
-// runStripes partitions [0, words) into `workers` word-aligned stripes and
-// runs fn on each from its own goroutine, joining before returning.
-func runStripes(workers, words int, fn func(lo, hi int)) {
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		lo, hi := stripeBounds(words, workers, s)
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}()
-	}
-	wg.Wait()
 }
 
 // ViolationsPar is Violations as a parallel partial reduction: each stripe

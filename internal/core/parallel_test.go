@@ -2,14 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
-	"github.com/xai-db/relativekeys/internal/bitset"
 	"github.com/xai-db/relativekeys/internal/feature"
 )
 
@@ -29,87 +26,8 @@ func forceParallel(t *testing.T) {
 	t.Cleanup(func() { MinParallelRows = saved })
 }
 
-// TestDifferentialSRKParallel: quick-check style sweep over randomized
-// datasets, alphas, and P ∈ {1,2,3,4,8} (8 > NumCPU on CI runners; contexts
-// as small as 5 rows make P > rows routine).
-func TestDifferentialSRKParallel(t *testing.T) {
-	forceParallel(t)
-	rng := rand.New(rand.NewSource(211))
-	if runtime.NumCPU() >= 8 {
-		t.Log("NumCPU >= 8: extend testedParallelisms if the P > NumCPU case matters on this machine")
-	}
-	for trial := 0; trial < 80; trial++ {
-		c := randomContext(t, rng, 5+rng.Intn(300), 2+rng.Intn(7), 2+rng.Intn(3), 2+rng.Intn(2))
-		row := c.Item(rng.Intn(c.Len()))
-		alpha := []float64{1.0, 0.95, 0.85, 0.6, 0.8 + 0.2*rng.Float64()}[trial%5]
-		want, wantErr := SRK(c, row.X, row.Y, alpha)
-		for _, p := range testedParallelisms {
-			got, gotErr := SRKPar(c, row.X, row.Y, alpha, p)
-			if !errors.Is(gotErr, wantErr) && gotErr != wantErr {
-				t.Fatalf("trial %d P=%d α=%v: err %v, sequential %v", trial, p, alpha, gotErr, wantErr)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("trial %d P=%d α=%v: key %v, sequential %v", trial, p, alpha, got, want)
-			}
-		}
-	}
-}
-
-// TestDifferentialSRKAnytimeParallel covers the anytime entry both
-// undeadlined and with an already-expired context (which exercises the
-// degraded completion pass from round zero in both variants — the only
-// cancellation timing that is deterministic enough to diff).
-func TestDifferentialSRKAnytimeParallel(t *testing.T) {
-	forceParallel(t)
-	rng := rand.New(rand.NewSource(223))
-	expired, cancel := context.WithCancel(context.Background())
-	cancel()
-	for trial := 0; trial < 60; trial++ {
-		c := randomContext(t, rng, 5+rng.Intn(250), 2+rng.Intn(6), 2+rng.Intn(3), 2)
-		row := c.Item(rng.Intn(c.Len()))
-		alpha := []float64{1.0, 0.9, 0.75}[trial%3]
-		for _, ctx := range []context.Context{context.Background(), expired} {
-			want, wantDeg, wantErr := SRKAnytime(ctx, c, row.X, row.Y, alpha)
-			for _, p := range testedParallelisms {
-				got, gotDeg, gotErr := SRKAnytimePar(ctx, c, row.X, row.Y, alpha, p)
-				if gotDeg != wantDeg {
-					t.Fatalf("trial %d P=%d: degraded %v, sequential %v", trial, p, gotDeg, wantDeg)
-				}
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("trial %d P=%d: err %v, sequential %v", trial, p, gotErr, wantErr)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("trial %d P=%d: key %v, sequential %v", trial, p, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestDifferentialExactParallel: the fan-out search must return the same
-// (lex-first, minimum-size) subset as the sequential iterative deepening.
-func TestDifferentialExactParallel(t *testing.T) {
-	forceParallel(t)
-	rng := rand.New(rand.NewSource(227))
-	for trial := 0; trial < 40; trial++ {
-		c := randomContext(t, rng, 5+rng.Intn(60), 2+rng.Intn(5), 2, 2)
-		row := c.Item(rng.Intn(c.Len()))
-		alpha := []float64{1.0, 0.9, 0.8}[trial%3]
-		want, wantErr := ExactMinKeyCtx(context.Background(), c, row.X, row.Y, alpha, 0)
-		for _, p := range testedParallelisms {
-			got, gotErr := ExactMinKeyCtxPar(context.Background(), c, row.X, row.Y, alpha, 0, p)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("trial %d P=%d: err %v, sequential %v", trial, p, gotErr, wantErr)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("trial %d P=%d: key %v, sequential %v", trial, p, got, want)
-			}
-		}
-	}
-}
-
 // TestDifferentialCountersParallel: the striped partial reductions behind
-// Violations/Coverage/Precision/DisagreeingInto must agree with the
+// Violations/Coverage/Precision must agree with the
 // sequential primitives for arbitrary keys and stripe counts.
 func TestDifferentialCountersParallel(t *testing.T) {
 	forceParallel(t)
@@ -134,10 +52,6 @@ func TestDifferentialCountersParallel(t *testing.T) {
 			if got, want := PrecisionPar(c, row.X, row.Y, E, p), Precision(c, row.X, row.Y, E); got != want { //rkvet:ignore floateq both sides are 1 - int/int over identical ints, bit-equal by construction
 				t.Fatalf("trial %d P=%d: PrecisionPar %v, sequential %v", trial, p, got, want)
 			}
-			gotD := c.DisagreeingIntoPar(bitset.New(0), row.Y, p)
-			if !gotD.Equal(c.Disagreeing(row.Y)) {
-				t.Fatalf("trial %d P=%d: DisagreeingIntoPar differs", trial, p)
-			}
 		}
 	}
 }
@@ -150,7 +64,7 @@ func TestParallelRespectsRowThreshold(t *testing.T) {
 	c := randomContext(t, rng, 50, 4, 2, 2) // 50 ≪ MinParallelRows
 	row := c.Item(0)
 	want, wantErr := SRK(c, row.X, row.Y, 0.9)
-	got, gotErr := SRKPar(c, row.X, row.Y, 0.9, 8)
+	got, _, gotErr := SRKAnytimePar(context.Background(), c, row.X, row.Y, 0.9, 8)
 	if (gotErr == nil) != (wantErr == nil) || !got.Equal(want) {
 		t.Fatalf("threshold fallback differs: %v/%v vs %v/%v", got, gotErr, want, wantErr)
 	}
@@ -186,7 +100,7 @@ func TestParallelSRKConcurrentSolves(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i, query := range qs {
-				got, err := SRKPar(c, query.x, query.y, 0.9, 1+g%4)
+				got, _, err := SRKAnytimePar(context.Background(), c, query.x, query.y, 0.9, 1+g%4)
 				if err != nil || !got.Equal(query.want) {
 					errs <- fmt.Errorf("goroutine %d query %d: %v err %v, want %v", g, i, got, err, query.want)
 					return

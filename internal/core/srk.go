@@ -15,12 +15,12 @@ import (
 // With posting-list bitsets each candidate evaluation is one AndCard pass, so
 // the whole run is O(n²·|I|/64) words in the worst case.
 //
-// SRK is the never-cancelled specialization of SRKAnytime: the shared greedy
-// loop lives there, and a background context keeps the checkpoint branch
-// dead, so the two are byte-identical on every input (asserted by the
-// differential test in anytime_test.go).
+// SRK runs the eager greedy loop (srkAnytime in anytime.go), the reference
+// the lazy production entry SRKAnytimePar is differentially tested against:
+// a background context keeps the loop's checkpoint branch dead, and the two
+// engines return byte-identical keys on every input (lazy_test.go).
 func SRK(c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, error) {
-	key, _, err := SRKAnytime(context.Background(), c, x, y, alpha) //rkvet:ignore ctxflow SRK is the sanctioned never-cancelled specialization; no caller deadline exists to thread
+	key, _, err := srkAnytimeInstrumented(context.Background(), c, x, y, alpha, 1, false) //rkvet:ignore ctxflow SRK is the sanctioned never-cancelled eager reference; no caller deadline exists to thread
 	return key, err
 }
 
@@ -30,10 +30,9 @@ func SRK(c *Context, x feature.Instance, y feature.Label, alpha float64) (Key, e
 // importance ordering without the cost of importance-score methods.
 //
 // It is the eager engine's pick-ordered return surfaced directly — the same
-// srkAnytime loop behind SRK/SRKAnytime, not a second copy of the greedy
-// step — so the ordering can never drift from the key the other entry points
-// compute (asserted against SRK and the lazy engine in srk_test.go and
-// lazy_test.go).
+// srkAnytime loop behind SRK, not a second copy of the greedy step — so the
+// ordering can never drift from the key the other entry points compute
+// (asserted against SRK and the lazy engine in srk_test.go and lazy_test.go).
 func SRKOrdered(c *Context, x feature.Instance, y feature.Label, alpha float64) ([]int, error) {
 	picks, _, err := srkAnytime(context.Background(), c, x, y, alpha) //rkvet:ignore ctxflow SRKOrdered is a never-cancelled specialization like SRK; the pick order must not depend on a deadline
 	return picks, err
@@ -81,9 +80,10 @@ func SRKNaive(c *Context, x feature.Instance, y feature.Label, alpha float64) (K
 	budget := Budget(alpha, c.Len())
 
 	// live holds row indices agreeing with x on E with different prediction.
+	// Dead slots keep their last occupant, so every scan skips them.
 	var live []int
 	for i, li := range c.Items() {
-		if li.Y != y {
+		if c.Alive(i) && li.Y != y {
 			live = append(live, i)
 		}
 	}
@@ -105,8 +105,8 @@ func SRKNaive(c *Context, x feature.Instance, y feature.Label, alpha float64) (K
 				}
 			}
 			freq := 0
-			for _, li := range c.Items() {
-				if li.X[a] == x[a] {
+			for i, li := range c.Items() {
+				if c.Alive(i) && li.X[a] == x[a] {
 					freq++
 				}
 			}

@@ -53,8 +53,8 @@ func (i *Injector) Roll(p float64) bool {
 	return i.rng.Float64() < p
 }
 
-// Solve matches core.SRKAnytime: a context-aware anytime solver returning the
-// key, a degraded flag, and an error.
+// Solve matches core.SRKAnytimePar at a fixed worker count: a context-aware
+// anytime solver returning the key, a degraded flag, and an error.
 type Solve func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error)
 
 // SolveFaults configures WrapSolve.

@@ -44,9 +44,14 @@ func solveSchema(t *testing.T) (*core.Context, feature.Instance, feature.Label) 
 	return c, feature.Instance{1, 1}, 1
 }
 
+// sequentialSolve is the production solver pinned to one worker.
+func sequentialSolve(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
+	return core.SRKAnytimePar(ctx, c, x, y, alpha, 1)
+}
+
 func TestWrapSolveInjectsError(t *testing.T) {
 	c, x, y := solveSchema(t)
-	solve := WrapSolve(core.SRKAnytime, New(1), SolveFaults{ErrProb: 1})
+	solve := WrapSolve(sequentialSolve, New(1), SolveFaults{ErrProb: 1})
 	if _, _, err := solve(context.Background(), c, x, y, 1.0); !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
@@ -54,7 +59,7 @@ func TestWrapSolveInjectsError(t *testing.T) {
 
 func TestWrapSolveLatencyHonoursContext(t *testing.T) {
 	c, x, y := solveSchema(t)
-	solve := WrapSolve(core.SRKAnytime, New(1), SolveFaults{LatencyProb: 1, Latency: time.Hour})
+	solve := WrapSolve(sequentialSolve, New(1), SolveFaults{LatencyProb: 1, Latency: time.Hour})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()

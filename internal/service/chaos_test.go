@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/xai-db/relativekeys/internal/cce"
-	"github.com/xai-db/relativekeys/internal/core"
 	"github.com/xai-db/relativekeys/internal/faultinject"
 	"github.com/xai-db/relativekeys/internal/persist"
 )
@@ -56,7 +55,7 @@ func TestChaosConcurrentFaults(t *testing.T) {
 			Inj:      inj,
 			FailProb: 0.2,
 		},
-		Solve: SolveFunc(faultinject.WrapSolve(core.SRKAnytime, inj, faultinject.SolveFaults{
+		Solve: SolveFunc(faultinject.WrapSolve(sequentialSolve, inj, faultinject.SolveFaults{
 			LatencyProb: 0.3,
 			Latency:     20 * time.Millisecond,
 			ErrProb:     0.1,

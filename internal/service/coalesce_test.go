@@ -35,7 +35,7 @@ func TestCoalesceStress(t *testing.T) {
 	solve := func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
 		solves.Add(1)
 		<-release
-		return core.SRKAnytime(ctx, c, x, y, alpha)
+		return core.SRKAnytimePar(ctx, c, x, y, alpha, 1)
 	}
 	srv, err := NewServer(Config{Schema: schema, Alpha: 1.0, Solve: solve, SolverTag: "gated"})
 	if err != nil {
@@ -124,7 +124,7 @@ func TestCoalesceWaiterDeadline(t *testing.T) {
 	solve := func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
 		if calls.Add(1) == 1 {
 			<-block // the leader's slow solve
-			return core.SRKAnytime(ctx, c, x, y, alpha)
+			return core.SRKAnytimePar(ctx, c, x, y, alpha, 1)
 		}
 		// The waiter's fallback self-solve on its expired context.
 		return core.Key{0}, true, nil

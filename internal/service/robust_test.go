@@ -24,6 +24,12 @@ func robustSchema(t *testing.T) *feature.Schema {
 	}, []string{"Denied", "Approved"})
 }
 
+// sequentialSolve is the production solver pinned to one worker, for tests
+// that wrap it with injected faults through the Config.Solve seam.
+func sequentialSolve(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
+	return core.SRKAnytimePar(ctx, c, x, y, alpha, 1)
+}
+
 func robustSeed() []feature.Labeled {
 	return []feature.Labeled{
 		{X: feature.Instance{0, 0, 0}, Y: 0},
@@ -77,7 +83,7 @@ func TestExplainDeadlineDegrades(t *testing.T) {
 	srv, err := NewServer(Config{
 		Schema: schema,
 		Alpha:  1.0,
-		Solve: SolveFunc(faultinject.WrapSolve(core.SRKAnytime, faultinject.New(1), faultinject.SolveFaults{
+		Solve: SolveFunc(faultinject.WrapSolve(sequentialSolve, faultinject.New(1), faultinject.SolveFaults{
 			LatencyProb: 1,
 			Latency:     time.Hour,
 		})),
@@ -181,7 +187,7 @@ func TestLoadShedding(t *testing.T) {
 		Solve: func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error) {
 			entered <- struct{}{}
 			<-release
-			return core.SRKAnytime(ctx, c, x, y, alpha)
+			return core.SRKAnytimePar(ctx, c, x, y, alpha, 1)
 		},
 	})
 	if err != nil {
@@ -236,7 +242,7 @@ func TestPanicRecovery(t *testing.T) {
 			if arm {
 				panic("poisoned request")
 			}
-			return core.SRKAnytime(ctx, c, x, y, alpha)
+			return core.SRKAnytimePar(ctx, c, x, y, alpha, 1)
 		},
 	})
 	if err != nil {

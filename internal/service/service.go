@@ -40,8 +40,9 @@ type DriftObserver interface {
 	Arrivals() int
 }
 
-// SolveFunc is the anytime solver seam, matching core.SRKAnytime: it returns
-// the key, whether the deadline degraded it, and an error.
+// SolveFunc is the anytime solver seam, matching core.SRKAnytimePar at a
+// fixed worker count: it returns the key, whether the deadline degraded it,
+// and an error.
 type SolveFunc func(ctx context.Context, c *core.Context, x feature.Instance, y feature.Label, alpha float64) (core.Key, bool, error)
 
 // Config assembles a Server. Zero values mean "off" for every robustness
@@ -57,15 +58,16 @@ type Config struct {
 	// Solve overrides the explain solver. nil = core.SRKAnytimePar at
 	// Parallelism workers — the lazy-greedy engine (DESIGN.md §12), which
 	// returns byte-identical keys to the eager reference at a fraction of
-	// the candidate evaluations. Set it to core.SRKAnytime to force the
-	// eager path (cceserver's -solver=eager does exactly that).
+	// the candidate evaluations. Tests and load drills set it to interpose
+	// gated, slowed or failing solvers.
 	Solve SolveFunc
 
-	// Parallelism bounds the intra-solve worker count of each explain
-	// (DESIGN.md §11): above 1, the lazy engine's full candidate scans are
-	// striped across that many workers once the context reaches
-	// core.MinParallelRows rows, with byte-identical keys. 0 or 1 keeps
-	// solves sequential. Ignored when Solve is set.
+	// Parallelism bounds the intra-explain worker count (DESIGN.md §11):
+	// above 1, the work is striped across that many workers once the context
+	// reaches core.MinParallelRows rows, with byte-identical results. 0 or 1
+	// keeps it sequential. It always drives the striped precision/coverage
+	// counts of /explain and is reported as solver_parallelism in /stats;
+	// it sizes the solve itself only when Solve is nil.
 	Parallelism int
 
 	DefaultDeadline time.Duration // per-explain solve budget; 0 = none
